@@ -7,14 +7,26 @@ daily budget is a shared ledger across the fleet, and whenever the cluster
 frees up a pluggable :class:`Scheduler` decides which stream's pending
 segment gets the cores next.
 
-Built-in schedulers:
+Built-in schedulers, with their cost per serve for ``n`` ready streams:
 
 * ``"fifo"`` — globally oldest pending segment first (arrival order across
-  the whole fleet);
+  the whole fleet); a heap keyed by head arrival time, O(log n);
 * ``"round-robin"`` — cycle through the streams in fleet order, skipping
-  streams with nothing pending;
+  streams with nothing pending; a bisect on the fleet index, O(log n);
 * ``"lag-aware"`` — serve the stream at greatest risk of violating its
-  buffer bound first: highest buffer-fill fraction, ties broken by lag.
+  buffer bound first: highest buffer-fill fraction, ties broken by lag; a
+  scan, O(n).
+
+The engine calls ``select(ready, now)`` exactly once per serve, with
+``ready`` the sessions that have pending segments, in fleet order.  A
+scheduler that also defines ``push(session)`` is told whenever a session's
+head segment changes — when the session becomes ready and after a serve
+that leaves it non-empty — which is all an index keyed by the head needs.
+Schedulers without ``push`` (the select-only default) work unchanged.  The
+engine's own upkeep of ``ready`` is an ``insort``/``del`` at a bisected
+position, so with the indexed built-ins no step of a serve scans the fleet.
+The scan versions of ``"fifo"`` and ``"round-robin"`` live on in
+:mod:`repro.core.reference` as the parity oracle.
 
 The single-stream :class:`~repro.core.engine.IngestionEngine` is a thin
 wrapper over a one-stream fleet, with bit-for-bit identical results.
@@ -22,9 +34,11 @@ wrapper over a one-stream fleet, with bit-for-bit identical results.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Union
+from heapq import heapify, heappop, heappush
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple, Union
 
 from repro.cluster.resources import CloudSpec, ClusterSpec
 from repro.core.engine import IngestionResult, Policy, SECONDS_PER_DAY
@@ -99,6 +113,10 @@ class Scheduler(Protocol):
     in fleet order, and the current simulation time; it returns one of them.
     Schedulers may keep state between calls (e.g. a round-robin cursor); the
     fleet engine builds a fresh instance per run when given a name.
+
+    A scheduler may also define ``push(session)``: the engine then calls it
+    whenever ``session.pending[0]`` changes (the session became ready, or a
+    serve left it non-empty).  It is optional; see :class:`FifoScheduler`.
     """
 
     name: str
@@ -108,6 +126,7 @@ class Scheduler(Protocol):
 
 
 _SCHEDULERS: Dict[str, Callable[[], "Scheduler"]] = {}
+_fleet_index = attrgetter("index")
 
 
 def register_scheduler(name: str) -> Callable[[Callable[[], "Scheduler"]], Callable[[], "Scheduler"]]:
@@ -142,12 +161,40 @@ def make_scheduler(scheduler: Union[str, "Scheduler"]) -> "Scheduler":
 
 @register_scheduler("fifo")
 class FifoScheduler:
-    """Globally oldest pending segment first (fleet-wide arrival order)."""
+    """Globally oldest pending segment first (fleet-wide arrival order).
+
+    Keeps the ready sessions in a heap keyed ``(head arrival_time, index)``,
+    so a serve costs O(log streams) instead of a scan.  A session's key
+    changes only when it is served (arrivals append behind the head, and an
+    overflow drops the new segment, not the head), so the engine's
+    :meth:`push` on becoming ready and after a serve that leaves the session
+    non-empty keeps every key exact.  Ties go to the lowest fleet index, as
+    ``min()`` over ``ready`` in fleet order would.
+    """
 
     name = "fifo"
 
+    def __init__(self):
+        self._heap: List[Tuple[float, int]] = []
+        self._sessions: Dict[int, StreamSession] = {}
+
+    def push(self, session: StreamSession) -> None:
+        """Index a session whose head segment is ``pending[0]``."""
+        self._sessions[session.index] = session
+        heappush(self._heap, (session.pending[0].arrival_time, session.index))
+
     def select(self, ready: Sequence[StreamSession], now: float) -> StreamSession:
-        return min(ready, key=lambda session: session.pending[0].arrival_time)
+        # Between serves only the chosen session can leave ``ready``, so the
+        # heap holds exactly the ready sessions iff the sizes agree.  A
+        # driver that never pushes (or an instance reused after an aborted
+        # run) gets the heap rebuilt from ``ready`` instead.
+        if len(self._heap) != len(ready):
+            self._sessions = {session.index: session for session in ready}
+            self._heap = [
+                (session.pending[0].arrival_time, session.index) for session in ready
+            ]
+            heapify(self._heap)
+        return self._sessions[heappop(self._heap)[1]]
 
 
 @register_scheduler("round-robin")
@@ -160,9 +207,10 @@ class RoundRobinScheduler:
         self._cursor = 0
 
     def select(self, ready: Sequence[StreamSession], now: float) -> StreamSession:
-        chosen = next(
-            (session for session in ready if session.index >= self._cursor), ready[0]
-        )
+        # ``ready`` is in fleet order: the first session at or after the
+        # cursor, wrapping round to the start.
+        position = bisect_left(ready, self._cursor, key=_fleet_index)
+        chosen = ready[position] if position < len(ready) else ready[0]
         self._cursor = chosen.index + 1
         return chosen
 
@@ -408,8 +456,11 @@ class FleetEngine:
         # The ready list (sessions with pending segments, in fleet order) is
         # maintained incrementally: a session enters when an arrival lands in
         # its empty queue and leaves when its last pending segment is served.
-        # This replaces the per-serve O(n_streams) rebuild of the old loop.
+        # Indexed schedulers additionally get ``push(session)`` whenever a
+        # session's head segment changes: when it becomes ready and after a
+        # serve that leaves it non-empty.  Select-only schedulers skip it.
         ready: List[StreamSession] = []
+        push = getattr(scheduler, "push", None)
         while len(loop):
             now = loop.next_time()
             # Drain every event at this timestamp (finishes before arrivals)
@@ -420,7 +471,9 @@ class FleetEngine:
                     session.on_finish(payload)
                 elif kind == ARRIVAL:
                     if session.on_arrival(payload) and len(session.pending) == 1:
-                        insort(ready, session, key=lambda entry: entry.index)
+                        insort(ready, session, key=_fleet_index)
+                        if push is not None:
+                            push(session)
                     self._schedule_next_arrival(loop, session)
             # Hand the cluster to pending segments while it is idle; each
             # decision advances the shared clock, so at most one segment is
@@ -433,7 +486,9 @@ class FleetEngine:
                 stream_ledger = stream_ledgers[chosen.index]
                 entry = chosen.pending.popleft()
                 if not chosen.pending:
-                    ready.remove(chosen)
+                    del ready[bisect_left(ready, chosen.index, key=_fleet_index)]
+                elif push is not None:
+                    push(chosen)
                 finish, cloud_dollars = chosen.execute(
                     entry, now, self.cluster, stream_ledger.remaining(now)
                 )

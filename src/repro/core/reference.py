@@ -3,12 +3,15 @@
 The columnar hot path (:mod:`repro.core.columnar`, the vectorized
 :meth:`~repro.video.content.ContentModel.states_at`, and the index-based
 fleet loop in :mod:`repro.core.events`) replaced per-object Python loops
-that had accumulated three PRs of carefully pinned semantics.  This module
-keeps those loops alive, verbatim, for two purposes:
+that had accumulated three PRs of carefully pinned semantics, and the
+indexed ``fifo``/``round-robin`` schedulers of :mod:`repro.core.fleet`
+replaced per-serve scans.  This module keeps those loops and scans alive,
+verbatim, for two purposes:
 
-* **parity oracle** — ``tests/core/test_hotpath_parity.py`` replays the
-  same scenarios through :func:`reference_fleet_run` and asserts the
-  vectorized engine is bit-for-bit identical (and that the vectorized
+* **parity oracle** — ``tests/core/test_hotpath_parity.py`` and
+  ``tests/core/test_scheduler_index.py`` replay scenarios through
+  :func:`reference_fleet_run` and assert the live engine is bit-for-bit
+  identical (and that the vectorized
   content math stays within the documented tolerance of
   :func:`scalar_state_at`);
 * **benchmark baseline** — ``benchmarks/bench_hotpath.py`` measures the
@@ -167,6 +170,39 @@ def scalar_segments(
         segment = scalar_segment_at(source, index)
         if start_time <= segment.start_time < end_time:
             yield segment
+
+
+# --------------------------------------------------------------------- #
+# Scan schedulers (the pre-index ``fifo`` and ``round-robin``)
+# --------------------------------------------------------------------- #
+class ScanFifoScheduler:
+    """Verbatim copy of the pre-heap ``FifoScheduler``: a ``min()`` scan."""
+
+    name = "fifo"
+
+    def select(self, ready, now: float):
+        return min(ready, key=lambda session: session.pending[0].arrival_time)
+
+
+class ScanRoundRobinScheduler:
+    """Verbatim copy of the pre-bisect ``RoundRobinScheduler``: a linear scan."""
+
+    name = "round-robin"
+
+    def __init__(self):
+        self._cursor = 0
+
+    def select(self, ready, now: float):
+        chosen = next(
+            (session for session in ready if session.index >= self._cursor), ready[0]
+        )
+        self._cursor = chosen.index + 1
+        return chosen
+
+
+#: Scheduler names :func:`reference_fleet_run` resolves to a scan oracle
+#: instead of the live, indexed implementation.
+SCAN_SCHEDULERS = {"fifo": ScanFifoScheduler, "round-robin": ScanRoundRobinScheduler}
 
 
 # --------------------------------------------------------------------- #
@@ -422,8 +458,10 @@ def reference_fleet_run(
 
     ``streams`` is a sequence of :class:`~repro.core.fleet.FleetStream`;
     ``segments_fn(source, start, end)`` overrides how each session reads its
-    segments (``None`` uses the live ``source.segments``).  Returns a
-    :class:`~repro.core.fleet.FleetResult`.
+    segments (``None`` uses the live ``source.segments``).  The names
+    ``"fifo"`` and ``"round-robin"`` resolve to the scan schedulers above
+    (:data:`SCAN_SCHEDULERS`), other names and instances as the engine
+    would.  Returns a :class:`~repro.core.fleet.FleetResult`.
     """
     from repro.core.fleet import DailyBudgetLedger, FleetResult, make_scheduler
 
@@ -452,7 +490,10 @@ def reference_fleet_run(
         session.index = index
         sessions.append(session)
 
-    resolved_scheduler = make_scheduler(scheduler)
+    if isinstance(scheduler, str) and scheduler in SCAN_SCHEDULERS:
+        resolved_scheduler = SCAN_SCHEDULERS[scheduler]()
+    else:
+        resolved_scheduler = make_scheduler(scheduler)
     shared_ledger = ledger if ledger is not None else DailyBudgetLedger(cloud.daily_budget_dollars)
     stream_ledgers = [
         stream.ledger if stream.ledger is not None else shared_ledger for stream in streams

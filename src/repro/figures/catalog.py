@@ -1425,10 +1425,11 @@ def _run_fleet_scaling(ctx: FigureContext) -> Dict[str, Any]:
     title="Ingestion-service scaling: one fleet across shard counts",
     paper_reference="fleet service (beyond the paper)",
     claim=(
-        "Sharding a fleet across worker processes cuts the engine's "
-        "O(streams) per-serve scheduling scan and scales cluster capacity "
-        "out, while every job still drains to a terminal state and the "
-        "shared daily budget ledger stays consistent across shards."
+        "Sharding a fleet across worker processes runs the shards in "
+        "parallel on the host's cores (a wall-clock gain capped at the core "
+        "count) and scales cluster capacity out, while every job still "
+        "drains to a terminal state and the shared daily budget ledger "
+        "stays consistent across shards."
     ),
     schema={
         "rows": [

@@ -8,12 +8,15 @@ the per-stream served fractions (fleet-wide and the worst shard).  Both
 registered ``fleet_service_scaling`` figure spec run through this one
 function, so the CLI benchmark and the reproduction suite cannot drift.
 
-Why more shards are faster even on one core: a single engine's scheduler
-scans every session per serve (O(streams) per segment), so splitting a
-1k-stream fleet into 8 engines of 128 streams cuts the dominant scan cost
-~8x before any multi-core parallelism — and each shard also brings its own
-cluster, which is the capacity story behind drop rate and lag improving
-with the shard count.
+What sharding buys: the built-in schedulers cost O(log streams) per serve,
+so a single engine does the same total work as the shards together and
+splitting a fleet no longer divides any per-serve scan.  The wall-clock
+gain is the host's cores running shard processes in parallel, capped at
+the core count: at 1024 streams on a 2-core box, 1 shard took 29.9 s,
+4 shards 15.4 s and 8 shards 14.9 s (2.0x, all from the two cores;
+``benchmarks/BENCH_fleet_scaling.json`` point ``pr13``).  Each shard also
+brings its own simulated cluster, which is why drop rate and lag improve
+with the shard count independently of the host.
 """
 
 from __future__ import annotations
